@@ -5,7 +5,10 @@
 // running all cores; this bench records the speedup the thread-pooled
 // kernels actually deliver, plus a bit-identity check that parallelism
 // never changes arithmetic.  CI gates on speedup_t4 >= 2 in
-// BENCH_kernels.json.
+// BENCH_kernels.json.  The record also carries the GEMM variant the host
+// dispatched to (params.gemm_isa), the single-thread rate (gflops_t1) and
+// the single-device, single-thread frame time of the toy model at 32x32
+// (toy32_frame_s), the workload whose latency the kernels set.
 #include <chrono>
 #include <cstdio>
 #include <limits>
@@ -16,7 +19,9 @@
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "cost/flops.hpp"
+#include "models/zoo.hpp"
 #include "nn/executor.hpp"
+#include "nn/gemm.hpp"
 
 namespace {
 
@@ -53,6 +58,7 @@ int main() {
   json.param("gflop", gflop);
   json.param("hardware_parallelism",
              static_cast<double>(ThreadPool::default_parallelism()));
+  json.param("gemm_isa", nn::gemm_dispatch().isa);
 
   constexpr int kRepeats = 5;
   const std::vector<int> thread_counts{1, 2, 4};
@@ -78,10 +84,28 @@ int main() {
     if (thread_counts[t] > 1) {
       json.sample("speedup_t" + std::to_string(thread_counts[t]), speedup);
     }
+    if (thread_counts[t] == 1) json.sample("gflops_t1", gflop / best[t]);
     json.sample("bit_identical", diff == 0.0f ? 1.0 : 0.0);
     bench::print_row({std::to_string(thread_counts[t]),
                       bench::fmt(best[t], 4), bench::fmt(gflop / best[t], 2),
                       bench::fmt(speedup, 2), bench::fmt(diff, 1)});
   }
+  std::printf("GEMM variant: %s\n", nn::gemm_dispatch().isa);
+
+  // Single-device frame of the toy model at 32x32, one thread.
+  nn::Graph toy = models::toy_mnist({.input_size = 32});
+  toy.randomize_weights(rng);
+  Tensor toy_input(toy.input_shape());
+  toy_input.randomize(rng);
+  const nn::ExecOptions one_thread{.threads = 1};
+  time_execute(toy, toy_input, one_thread);  // warm-up
+  constexpr int kToyRepeats = 50;
+  std::vector<double> toy_seconds;
+  for (int repeat = 0; repeat < kToyRepeats; ++repeat) {
+    toy_seconds.push_back(time_execute(toy, toy_input, one_thread));
+    json.sample("toy32_frame_s", toy_seconds.back());
+  }
+  std::printf("toy@32 single-device frame (1 thread): p50 %s ms\n",
+              bench::fmt(percentile(toy_seconds, 0.5) * 1e3, 3).c_str());
   return 0;
 }

@@ -61,15 +61,25 @@ std::vector<CalibrationSample> profile_host(const ProfileOptions& options) {
     const nn::ExecOptions exec{.threads = options.threads};
 
     // Warm-up once (page faults, caches, pool threads), then timed repeats.
+    // A repeat runs the conv back to back for at least kMinSampleSeconds
+    // and records the mean: one run of these layers can take well under a
+    // millisecond, below the scheduler's time slice, so a single preemption
+    // would otherwise multiply a sample.
+    constexpr Seconds kMinSampleSeconds = 0.02;
     (void)nn::execute(g, input, exec);
     for (int repeat = 0; repeat < options.repeats; ++repeat) {
       const auto start = std::chrono::steady_clock::now();
-      const Tensor out = nn::execute(g, input, exec);
-      const Seconds elapsed = std::chrono::duration<double>(
-                                  std::chrono::steady_clock::now() - start)
-                                  .count();
-      PICO_CHECK(out.size() > 0);
-      samples.push_back({flops, elapsed});
+      Seconds elapsed = 0.0;
+      int runs = 0;
+      do {
+        const Tensor out = nn::execute(g, input, exec);
+        PICO_CHECK(out.size() > 0);
+        ++runs;
+        elapsed = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - start)
+                      .count();
+      } while (elapsed < kMinSampleSeconds);
+      samples.push_back({flops, elapsed / runs});
     }
   }
   return samples;

@@ -56,7 +56,8 @@ struct ProfileOptions {
 };
 
 /// Time real convolutions on this machine and return (flops, seconds)
-/// samples.  Wall-clock based: results vary with machine load.
+/// samples, each the mean over back-to-back runs spanning at least 20 ms.
+/// Wall-clock based: results vary with machine load.
 std::vector<CalibrationSample> profile_host(
     const ProfileOptions& options = {});
 

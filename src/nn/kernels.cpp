@@ -4,10 +4,12 @@
 #include <cstddef>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/thread_pool.hpp"
+#include "nn/gemm.hpp"
 #include "obs/trace.hpp"
 
 namespace pico::nn {
@@ -60,171 +62,124 @@ void parallel_strips(const Region& out_region, const ExecOptions& options,
   });
 }
 
-Tensor conv(const Node& node, const Placed& in, const Region& out_region,
-            const ExecOptions& options) {
+/// Fill the patch matrix of one group for output rows [block_begin,
+/// block_end) of `strip`: col[k][n] is the input value (0 in padding) that
+/// tap k = (local ic, ky, kx) reads for output pixel n.  Every element is
+/// written exactly once; a stride-1 row segment is one memcpy.
+void im2col(const Node& node, const Placed& in, int group, const Region& strip,
+            int block_begin, int block_end, float* col) {
   const Shape in_shape = node.in_shape;
-  const int oc_count = node.out_channels;
-  const int ic_count = in_shape.channels;
   const int kh = node.win.kh, kw = node.win.kw;
   const int sh = node.win.sh, sw = node.win.sw;
   const int ph = node.win.ph, pw = node.win.pw;
-  const int icpg = ic_count / node.groups;  // input channels per group
-  const int ocpg = oc_count / node.groups;
-
-  Tensor out({oc_count, out_region.height(), out_region.width()});
-  const long long kernel_plane = static_cast<long long>(kh) * kw;
-  const long long kernel_volume = kernel_plane * icpg;
-
-  parallel_strips(out_region, options, "conv_direct", [&](const Region& strip) {
-    for (int oc = 0; oc < oc_count; ++oc) {
-      const int ic_base = (oc / ocpg) * icpg;  // group's first input channel
-      const float* w_oc = node.weights.data() + oc * kernel_volume;
-      const float b = node.bias[static_cast<std::size_t>(oc)];
-      for (int oy = strip.row_begin; oy < strip.row_end; ++oy) {
-        const int iy0 = oy * sh - ph;
-        float* out_row = &out.at(oc, oy - out_region.row_begin, 0);
-        for (int ox = strip.col_begin; ox < strip.col_end; ++ox) {
-          const int ix0 = ox * sw - pw;
-          float acc = 0.0f;
-          for (int local = 0; local < icpg; ++local) {
-            const int ic = ic_base + local;
-            const float* w_ic = w_oc + local * kernel_plane;
-            for (int ky = 0; ky < kh; ++ky) {
-              const int iy = iy0 + ky;
-              if (iy < 0 || iy >= in_shape.height) continue;  // zero padding
-              const float* in_row =
-                  &in.tensor.at(ic, iy - in.region.row_begin, 0) -
-                  in.region.col_begin;
-              const float* w_row =
-                  w_ic + static_cast<std::ptrdiff_t>(ky) * kw;
-              for (int kx = 0; kx < kw; ++kx) {
-                const int ix = ix0 + kx;
-                if (ix < 0 || ix >= in_shape.width) continue;
-                acc += w_row[kx] * in_row[ix];
-              }
-            }
+  const int icpg = in_shape.channels / node.groups;
+  const long long width = strip.width();
+  const long long n = (block_end - block_begin) * width;
+  for (int local = 0; local < icpg; ++local) {
+    const int ic = group * icpg + local;
+    for (int ky = 0; ky < kh; ++ky) {
+      for (int kx = 0; kx < kw; ++kx) {
+        // Output columns [lo, hi) read inside the map: ox * sw - pw + kx
+        // lies in [0, in width).
+        const int lo = std::clamp((std::max(0, pw - kx) + sw - 1) / sw,
+                                  strip.col_begin, strip.col_end);
+        const int hi = std::clamp(
+            (in_shape.width + pw - kx + sw - 1) / sw, lo, strip.col_end);
+        float* col_row = col;
+        col += n;
+        for (int oy = block_begin; oy < block_end; ++oy, col_row += width) {
+          const int iy = oy * sh - ph + ky;
+          if (iy < 0 || iy >= in_shape.height) {
+            std::fill_n(col_row, width, 0.0f);
+            continue;
           }
-          acc += b;
-          if (node.fused_relu && acc < 0.0f) acc = 0.0f;
-          out_row[ox - out_region.col_begin] = acc;
+          std::fill(col_row, col_row + (lo - strip.col_begin), 0.0f);
+          std::fill(col_row + (hi - strip.col_begin), col_row + width, 0.0f);
+          if (hi == lo) continue;
+          const float* src =
+              &in.tensor.at(ic, iy - in.region.row_begin,
+                            lo * sw - pw + kx - in.region.col_begin);
+          float* dst = col_row + (lo - strip.col_begin);
+          if (sw == 1) {
+            std::copy_n(src, hi - lo, dst);
+          } else {
+            for (int i = 0; i < hi - lo; ++i, src += sw) dst[i] = *src;
+          }
         }
       }
     }
-  });
-  return out;
+  }
 }
 
-/// im2col + row-streaming matrix product.
+}  // namespace
+
+/// im2col + register-blocked GEMM (nn/gemm.hpp).
 ///
 /// Each parallel strip processes its rows in blocks small enough that the
-/// unrolled input patch matrix (K = ic*kh*kw rows by N = block area columns)
-/// stays cache/memory friendly.  For each block:
-///   col[k][n] = input value (or 0 in padding) of tap k for output pixel n
-///   out[oc][n] = sum_k w[oc][k] * col[k][n]   (k ascending -> same
-///                accumulation order as the direct loop, so every output
-///                scalar is identical up to the sign of zero)
-///
-/// The col buffer is sized once per strip for the widest block (no per-group
-/// reallocation churn) and all patch-matrix extents are 64-bit: a single-row
-/// region can legally be wide enough that kernel_volume * n overflows int.
+/// patch matrix (K = icpg*kh*kw rows by N = block area columns) stays in
+/// cache, then per group computes
+///   out[oc][n] = relu(sum_k w[oc][k] * col[k][n] + b[oc])   (k ascending)
+/// through `kernel`.  The col and panel buffers are sized once per strip
+/// and all patch-matrix extents are 64-bit: a single-row region can legally
+/// be wide enough that kernel_volume * n overflows int.
 Tensor conv_im2col(const Node& node, const Placed& in,
-                   const Region& out_region, const ExecOptions& options) {
-  const Shape in_shape = node.in_shape;
+                   const Region& out_region, const ExecOptions& options,
+                   const GemmKernel& kernel) {
   const int oc_count = node.out_channels;
-  const int ic_count = in_shape.channels;
-  const int kh = node.win.kh, kw = node.win.kw;
-  const int sh = node.win.sh, sw = node.win.sw;
-  const int ph = node.win.ph, pw = node.win.pw;
-  const int icpg = ic_count / node.groups;  // channels per group
+  const int icpg = node.in_shape.channels / node.groups;
   const int ocpg = oc_count / node.groups;
-  const long long kernel_volume = static_cast<long long>(icpg) * kh * kw;
+  const long long kernel_volume =
+      static_cast<long long>(icpg) * node.win.kh * node.win.kw;
+  const long long plane =
+      static_cast<long long>(out_region.height()) * out_region.width();
 
   Tensor out({oc_count, out_region.height(), out_region.width()});
 
   parallel_strips(out_region, options, "conv_im2col", [&](
                                                           const Region& strip) {
-    // Block rows so the col matrix stays under ~8 MB.
-    constexpr long long kColBudget = 2'000'000;  // floats
+    // Block rows so the col matrix stays near 1 MB: panel packing then
+    // reads it from a per-core L2 instead of memory (an 8 MB budget ran the
+    // 64->64 @112 layer ~25 % slower).
+    constexpr long long kColBudget = 1 << 18;  // floats
     const long long width = strip.width();
     const long long per_row = kernel_volume * width;
-    const int block_rows =
-        per_row > 0 ? static_cast<int>(std::max<long long>(
-                          1, kColBudget / std::max<long long>(1, per_row)))
-                    : strip.height();
-    // One allocation per strip, sized for the widest block; later blocks
-    // only zero-fill the prefix they use.
+    const int block_rows = static_cast<int>(std::max<long long>(
+        1, kColBudget / std::max<long long>(1, per_row)));
     const long long max_n =
         std::min<long long>(block_rows, strip.height()) * width;
-    std::vector<float> col(static_cast<std::size_t>(kernel_volume * max_n));
+    // Both buffers are fully overwritten before every read.
+    const auto col = std::make_unique_for_overwrite<float[]>(
+        static_cast<std::size_t>(kernel_volume * max_n));
+    const auto panel = std::make_unique_for_overwrite<float[]>(
+        static_cast<std::size_t>(kernel_volume * kernel.nr));
 
     for (int block_begin = strip.row_begin; block_begin < strip.row_end;
          block_begin += block_rows) {
       const int block_end = std::min(block_begin + block_rows, strip.row_end);
-      const long long n = (block_end - block_begin) * width;
-
       for (int group = 0; group < node.groups; ++group) {
-        std::fill_n(col.begin(),
-                    static_cast<std::size_t>(kernel_volume * n), 0.0f);
-
-        // Fill the patch matrix, one (ic, ky, kx) tap row at a time; each
-        // tap row is a strided copy of one input row segment, so the inner
-        // loop is contiguous over output columns.
-        long long k = 0;
-        for (int local = 0; local < icpg; ++local) {
-          const int ic = group * icpg + local;
-          for (int ky = 0; ky < kh; ++ky) {
-            for (int kx = 0; kx < kw; ++kx, ++k) {
-              float* col_row = col.data() + k * n;
-              long long column = 0;
-              for (int oy = block_begin; oy < block_end; ++oy) {
-                const int iy = oy * sh - ph + ky;
-                if (iy < 0 || iy >= in_shape.height) {
-                  column += width;
-                  continue;
-                }
-                const float* in_row =
-                    &in.tensor.at(ic, iy - in.region.row_begin, 0) -
-                    in.region.col_begin;
-                for (int ox = strip.col_begin; ox < strip.col_end;
-                     ++ox, ++column) {
-                  const int ix = ox * sw - pw + kx;
-                  if (ix >= 0 && ix < in_shape.width) {
-                    col_row[column] = in_row[ix];
-                  }
-                }
-              }
-            }
-          }
-        }
-
-        // out_block[oc][n] += w[oc][k] * col[k][n], k ascending.
-        for (int oc = group * ocpg; oc < (group + 1) * ocpg; ++oc) {
-          const float* w = node.weights.data() + oc * kernel_volume;
-          float* out_base =
-              &out.at(oc, block_begin - out_region.row_begin, 0);
-          for (long long i = 0; i < n; ++i) out_base[i] = 0.0f;
-          for (long long kk = 0; kk < kernel_volume; ++kk) {
-            const float wk = w[kk];
-            const float* col_row = col.data() + kk * n;
-            for (long long i = 0; i < n; ++i) {
-              out_base[i] += wk * col_row[i];
-            }
-          }
-          const float b = node.bias[static_cast<std::size_t>(oc)];
-          if (node.fused_relu) {
-            for (long long i = 0; i < n; ++i) {
-              const float v = out_base[i] + b;
-              out_base[i] = v > 0.0f ? v : 0.0f;
-            }
-          } else {
-            for (long long i = 0; i < n; ++i) out_base[i] += b;
-          }
-        }
+        im2col(node, in, group, strip, block_begin, block_end, col.get());
+        const int oc0 = group * ocpg;
+        kernel.run(
+            GemmArgs{
+                .a = node.weights.data() + oc0 * kernel_volume,
+                .lda = kernel_volume,
+                .b = col.get(),
+                .c = &out.at(oc0, block_begin - out_region.row_begin, 0),
+                .ldc = plane,
+                .m = ocpg,
+                .n = (block_end - block_begin) * width,
+                .k = kernel_volume,
+                .bias = node.bias.data() + oc0,
+                .relu = node.fused_relu,
+            },
+            panel.get());
       }
     }
   });
   return out;
 }
+
+namespace {
 
 Tensor pool(const Node& node, const Placed& in, const Region& out_region,
             const ExecOptions& options) {
@@ -385,14 +340,6 @@ Tensor global_avgpool(const Node& node, const Placed& in) {
 
 }  // namespace
 
-Tensor conv2d(const Node& node, const Placed& input, const Region& out_region,
-              ConvBackend backend, const ExecOptions& options) {
-  PICO_CHECK(node.kind == OpKind::Conv);
-  return backend == ConvBackend::Direct
-             ? conv(node, input, out_region, options)
-             : conv_im2col(node, input, out_region, options);
-}
-
 Tensor compute_node(const Node& node, std::span<const Placed> inputs,
                     const Region& out_region, const ExecOptions& options) {
   PICO_CHECK_MSG(!out_region.empty(), "empty output region for node "
@@ -406,7 +353,8 @@ Tensor compute_node(const Node& node, std::span<const Placed> inputs,
 
   switch (node.kind) {
     case OpKind::Conv:
-      return conv_im2col(node, inputs[0], out_region, options);
+      return conv_im2col(node, inputs[0], out_region, options,
+                         gemm_dispatch());
     case OpKind::MaxPool:
     case OpKind::AvgPool:
       return pool(node, inputs[0], out_region, options);

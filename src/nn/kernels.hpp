@@ -16,6 +16,11 @@
 // strip with the same fixed accumulation order the serial loop uses, so
 // results are bit-identical for every thread count — parallelism changes
 // wall time, never arithmetic.
+//
+// Convolution has one path: im2col + the register-blocked GEMM in
+// nn/gemm.hpp, whose variants (one per instruction set, picked at run
+// time) keep one arithmetic contract and so agree bit for bit on every
+// host (DESIGN.md §9).
 #pragma once
 
 #include <span>
@@ -42,14 +47,5 @@ struct ExecOptions {
 Tensor compute_node(const Node& node, std::span<const Placed> inputs,
                     const Region& out_region,
                     const ExecOptions& options = {});
-
-/// Convolution backends.  Both accumulate over (ic, ky, kx) in the same
-/// order, so every output scalar sees the same float-addition sequence and
-/// the results are identical (up to the sign of zero).  compute_node uses
-/// Im2col (several times faster); Direct exists as the oracle the
-/// equivalence tests compare against.
-enum class ConvBackend { Direct, Im2col };
-Tensor conv2d(const Node& node, const Placed& input, const Region& out_region,
-              ConvBackend backend, const ExecOptions& options = {});
 
 }  // namespace pico::nn

@@ -16,8 +16,14 @@ void ClockOffsetEstimator::update(const ClockSample& sample) {
   const auto offset = static_cast<double>(sample.offset_ns());
   MutexLock lock(mutex_);
   ++samples_;
-  if (accepted_ == 0) {
-    // First plausible sample seeds everything.
+  if (accepted_ == 0 ||
+      static_cast<double>(rtt) * options_.rtt_gate <
+          static_cast<double>(min_rtt_ns_)) {
+    // The first plausible sample seeds everything.  So does one whose RTT
+    // is more than the gate below every earlier sample: by the gate's own
+    // rule all of those are untrusted next to it, and an offset seeded
+    // from a congested, asymmetric round trip would otherwise decay only
+    // by (1 - alpha) per later sample.
     ++accepted_;
     offset_ns_ = offset;
     rtt_ns_ = static_cast<double>(rtt);

@@ -1,9 +1,13 @@
-// Direct vs im2col convolution: the two backends must agree exactly (the
+// Production conv (compute_node: im2col + GEMM) vs the direct oracle in
+// tests/conv_oracle.hpp: they must agree exactly up to the sign of zero (the
 // accumulation order is identical by construction) across kernel shapes,
 // strides, paddings, border/interior regions and haloed input pieces.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/rng.hpp"
+#include "conv_oracle.hpp"
 #include "nn/executor.hpp"
 #include "nn/kernels.hpp"
 #include "nn/receptive.hpp"
@@ -17,6 +21,11 @@ struct ConvCase {
   int in_channels, in_size, out_channels;
   nn::Window window;
 };
+
+// gtest prints an unprintable parameter as its raw bytes, which include the
+// address of `name` and so change from run to run; print the name instead so
+// the discovered test names are stable.
+void PrintTo(const ConvCase& c, std::ostream* os) { *os << c.name; }
 
 class ConvBackends : public ::testing::TestWithParam<ConvCase> {};
 
@@ -41,11 +50,9 @@ TEST_P(ConvBackends, AgreeOnFullMapAndRegions) {
 
   // Full map.
   const Tensor direct =
-      nn::conv2d(node, whole, Region::full(out.height, out.width),
-                 nn::ConvBackend::Direct);
+      test::direct_conv(node, whole, Region::full(out.height, out.width));
   const Tensor fast =
-      nn::conv2d(node, whole, Region::full(out.height, out.width),
-                 nn::ConvBackend::Im2col);
+      test::conv(node, whole, Region::full(out.height, out.width));
   ASSERT_FLOAT_EQ(Tensor::max_abs_diff(direct, fast), 0.0f);
 
   // A sweep of sub-regions, fed exactly the haloed piece they need.
@@ -59,10 +66,8 @@ TEST_P(ConvBackends, AgreeOnFullMapAndRegions) {
     if (region.empty()) continue;
     const Region need = nn::input_region(g, conv, region);
     const Placed piece{need, extract(input, need)};
-    const Tensor d = nn::conv2d(node, piece, region,
-                                nn::ConvBackend::Direct);
-    const Tensor f = nn::conv2d(node, piece, region,
-                                nn::ConvBackend::Im2col);
+    const Tensor d = test::direct_conv(node, piece, region);
+    const Tensor f = test::conv(node, piece, region);
     ASSERT_FLOAT_EQ(Tensor::max_abs_diff(d, f), 0.0f)
         << param.name << " region " << region;
     // And against the sliced full-map result.
@@ -86,8 +91,8 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(ConvBackends, BlockedPathCoversMultipleRowBlocks) {
   // Big enough that im2col processes several row blocks (col budget is
-  // 2M floats): 64ch * 9 taps * 128 cols = 73728 floats/row -> blocks of
-  // ~27 rows over 128 rows.
+  // 2^18 floats): 64ch * 9 taps * 128 cols = 73728 floats/row -> blocks of
+  // 3 rows over 128 rows.
   nn::Graph g;
   const int in = g.add_input({64, 128, 128});
   g.add_conv(in, 4, 3, 1, 1);
@@ -98,10 +103,8 @@ TEST(ConvBackends, BlockedPathCoversMultipleRowBlocks) {
   input.randomize(rng);
   const Placed whole{Region::full(128, 128), input};
   const nn::Node& node = g.node(1);
-  const Tensor d =
-      nn::conv2d(node, whole, Region::full(128, 128), nn::ConvBackend::Direct);
-  const Tensor f =
-      nn::conv2d(node, whole, Region::full(128, 128), nn::ConvBackend::Im2col);
+  const Tensor d = test::direct_conv(node, whole, Region::full(128, 128));
+  const Tensor f = test::conv(node, whole, Region::full(128, 128));
   EXPECT_FLOAT_EQ(Tensor::max_abs_diff(d, f), 0.0f);
 }
 
@@ -123,10 +126,8 @@ TEST(ConvBackends, ExtremeAspectRatioRegions) {
     const Placed whole{Region::full(3, 4096), input};
     for (const Region region :
          {Region::rows(1, 2, 4096), Region::full(3, 4096)}) {
-      const Tensor d =
-          nn::conv2d(node, whole, region, nn::ConvBackend::Direct);
-      const Tensor f =
-          nn::conv2d(node, whole, region, nn::ConvBackend::Im2col);
+      const Tensor d = test::direct_conv(node, whole, region);
+      const Tensor f = test::conv(node, whole, region);
       ASSERT_FLOAT_EQ(Tensor::max_abs_diff(d, f), 0.0f)
           << "wide region " << region;
     }
@@ -145,8 +146,8 @@ TEST(ConvBackends, ExtremeAspectRatioRegions) {
     const nn::Node& node = g.node(1);
     const Placed whole{Region::full(4096, 3), input};
     const Region region{0, 4096, 1, 2};
-    const Tensor d = nn::conv2d(node, whole, region, nn::ConvBackend::Direct);
-    const Tensor f = nn::conv2d(node, whole, region, nn::ConvBackend::Im2col);
+    const Tensor d = test::direct_conv(node, whole, region);
+    const Tensor f = test::conv(node, whole, region);
     ASSERT_FLOAT_EQ(Tensor::max_abs_diff(d, f), 0.0f);
   }
 }
@@ -168,12 +169,9 @@ TEST(ConvBackends, RandomizedSweep) {
     const nn::Node& node = g.node(1);
     const Shape out = node.out_shape;
     const Placed whole{Region::full(size, size), input};
-    const Tensor d = nn::conv2d(node, whole,
-                                Region::full(out.height, out.width),
-                                nn::ConvBackend::Direct);
-    const Tensor f = nn::conv2d(node, whole,
-                                Region::full(out.height, out.width),
-                                nn::ConvBackend::Im2col);
+    const Region full_out = Region::full(out.height, out.width);
+    const Tensor d = test::direct_conv(node, whole, full_out);
+    const Tensor f = test::conv(node, whole, full_out);
     ASSERT_FLOAT_EQ(Tensor::max_abs_diff(d, f), 0.0f)
         << "k=" << k << " s=" << s << " p=" << p << " size=" << size;
   }

@@ -3,6 +3,8 @@
 // equal the sliced reference result exactly.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "models/zoo.hpp"
@@ -19,6 +21,11 @@ struct SegmentCase {
   models::ModelId model;
   int input_size;
 };
+
+// gtest prints an unprintable parameter as its raw bytes, which include the
+// address of `name` and so change from run to run; print the name instead so
+// the discovered test names are stable.
+void PrintTo(const SegmentCase& c, std::ostream* os) { *os << c.name; }
 
 class SegmentExecution : public ::testing::TestWithParam<SegmentCase> {};
 

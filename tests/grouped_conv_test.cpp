@@ -1,9 +1,10 @@
 // Grouped / depthwise convolution: semantics (block-diagonal equivalence to
-// dense conv), backend agreement, region execution, new zoo models, and
-// end-to-end distributed correctness.
+// dense conv), agreement with the direct oracle, region execution, new zoo
+// models, and end-to-end distributed correctness.
 #include <gtest/gtest.h>
 
 #include "common/rng.hpp"
+#include "conv_oracle.hpp"
 #include "cost/flops.hpp"
 #include "models/cfg.hpp"
 #include "models/zoo.hpp"
@@ -86,10 +87,8 @@ TEST(GroupedConv, EqualsBlockDiagonalDenseConv) {
   input.randomize(rng);
   const Placed whole{Region::full(size, size), input};
   const Region full_out = Region::full(size, size);
-  const Tensor grouped_out =
-      nn::conv2d(grouped_node, whole, full_out, nn::ConvBackend::Im2col);
-  const Tensor dense_out =
-      nn::conv2d(dense_node, whole, full_out, nn::ConvBackend::Im2col);
+  const Tensor grouped_out = test::conv(grouped_node, whole, full_out);
+  const Tensor dense_out = test::conv(dense_node, whole, full_out);
   // Same math, but dense accumulates extra zero-weight terms: values agree
   // to float tolerance (products with zero weights are exact zeros, so the
   // sums are actually identical).
@@ -111,10 +110,8 @@ TEST(GroupedConv, BackendsAgreeOnRegions) {
          {Region::full(13, 13), Region::rows(3, 9, 13), Region{0, 13, 5, 9}}) {
       const Region need = nn::input_region(g, conv, region);
       const Placed piece{need, extract(input, need)};
-      const Tensor direct =
-          nn::conv2d(node, piece, region, nn::ConvBackend::Direct);
-      const Tensor fast =
-          nn::conv2d(node, piece, region, nn::ConvBackend::Im2col);
+      const Tensor direct = test::direct_conv(node, piece, region);
+      const Tensor fast = test::conv(node, piece, region);
       ASSERT_FLOAT_EQ(Tensor::max_abs_diff(direct, fast), 0.0f)
           << "groups=" << groups << " region " << region;
     }

@@ -1,13 +1,15 @@
 // Parallel-kernel parity suite: every kernel must produce bit-identical
-// outputs for every ExecOptions thread count (1, 2, 5) and both conv
-// backends, across strided, grouped, padded, 1x1 and asymmetric-halo
-// regions.  This is the determinism guarantee the distributed runtime rests
-// on — intra-device parallelism changes wall time, never arithmetic.
+// outputs for every ExecOptions thread count (1, 2, 5), and conv must match
+// the direct oracle (tests/conv_oracle.hpp), across strided, grouped,
+// padded, 1x1 and asymmetric-halo regions.  This is the determinism
+// guarantee the distributed runtime rests on — intra-device parallelism
+// changes wall time, never arithmetic.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "common/rng.hpp"
+#include "conv_oracle.hpp"
 #include "nn/executor.hpp"
 #include "nn/kernels.hpp"
 #include "nn/receptive.hpp"
@@ -34,8 +36,9 @@ std::vector<Region> parity_regions(const Shape& out) {
 }
 
 /// For every region and thread count, compute the region from its minimal
-/// haloed input piece and require exact equality with the serial direct
-/// reference (sliced from the full map).
+/// haloed input piece and require exact equality with the serial reference
+/// (sliced from the full map); conv regions must also match the direct
+/// oracle.
 void check_parity(nn::Graph& g, int node_id, std::uint64_t seed) {
   g.finalize();
   Rng rng(seed);
@@ -59,21 +62,17 @@ void check_parity(nn::Graph& g, int node_id, std::uint64_t seed) {
           all[static_cast<std::size_t>(node.inputs[k])];
       pieces.push_back({need, extract(producer, need)});
     }
+    if (node.kind == nn::OpKind::Conv) {
+      EXPECT_EQ(Tensor::max_abs_diff(
+                    expected, test::direct_conv(node, pieces[0], region)),
+                0.0f)
+          << node.name << " direct oracle, region " << region;
+    }
     for (const int threads : kThreadCounts) {
       const nn::ExecOptions options{.threads = threads};
       const Tensor got = nn::compute_node(node, pieces, region, options);
       EXPECT_EQ(Tensor::max_abs_diff(expected, got), 0.0f)
           << node.name << " region " << region << " threads " << threads;
-      if (node.kind == nn::OpKind::Conv) {
-        const Tensor direct = nn::conv2d(node, pieces[0], region,
-                                         nn::ConvBackend::Direct, options);
-        const Tensor im2col = nn::conv2d(node, pieces[0], region,
-                                         nn::ConvBackend::Im2col, options);
-        EXPECT_EQ(Tensor::max_abs_diff(expected, direct), 0.0f)
-            << node.name << " direct, threads " << threads;
-        EXPECT_EQ(Tensor::max_abs_diff(expected, im2col), 0.0f)
-            << node.name << " im2col, threads " << threads;
-      }
     }
   }
 }
